@@ -27,8 +27,8 @@ type Middlebox struct {
 	shapers   map[string]*shaper
 	reasm     *packet.Reassembler
 
-	// prog is the compiled Aho-Corasick form of Cfg.Rules (nil = naive
-	// per-rule scan). Built once at construction, shared read-only across
+	// prog is the compiled form of Cfg.Rules (nil = naive per-rule
+	// scan). Built once at construction, shared read-only across
 	// ForkElement copies; never part of Cfg (Fingerprint hashes Cfg).
 	prog *ruleProgram
 	// bufFree holds stream buffers reclaimed from flows compacted at
@@ -75,11 +75,12 @@ type mbFlow struct {
 	expValid       [2]bool
 	ooo            [2]map[uint32][]byte
 
-	// Compiled-program stream state, per direction: automaton position,
-	// sticky pattern hits, and how many stream bytes have been fed.
-	acState [2]int32
-	kwHits  [2]uint64
-	fed     [2]int32
+	// Compiled-program stream state, per direction: sticky pattern hits,
+	// how many stream bytes have been scanned, and the tail of the stream
+	// history compacted away (kept until the seam has been scanned).
+	kwHits [2]uint64
+	fed    [2]int
+	carry  [2][]byte
 }
 
 // NewMiddlebox builds a classifier element from a config.
@@ -176,11 +177,11 @@ func (m *Middlebox) ForkElement() netem.Element {
 // the per-fork buffer allocations into plain memmoves.
 func (f *mbFlow) clone() *mbFlow {
 	c := mbFlowPool.Get().(*mbFlow)
-	s0, s1 := c.stream[0][:0], c.stream[1][:0]
+	s, cr := c.stream, c.carry
 	*c = *f
-	c.stream[0] = append(s0, f.stream[0]...)
-	c.stream[1] = append(s1, f.stream[1]...)
 	for di := 0; di < 2; di++ {
+		c.stream[di] = append(s[di][:0], f.stream[di]...)
+		c.carry[di] = append(cr[di][:0], f.carry[di]...)
 		if f.ooo[di] != nil {
 			c.ooo[di] = make(map[uint32][]byte, len(f.ooo[di]))
 			for seq, data := range f.ooo[di] {
@@ -415,23 +416,27 @@ func (m *Middlebox) inspectPacket(ctx netem.Context, dir netem.Direction, p *pac
 		}
 	}
 
-	// One automaton pass over the inspected bytes replaces the per-rule
-	// bytes.Contains scan. Per-packet modes feed the payload from the root
-	// state; stream modes feed only the bytes that arrived since the last
-	// inspection, carrying state and sticky hits per flow direction
-	// (streams are append-only, so sticky hits ≡ a full rescan).
+	// One program scan replaces the per-rule bytes.Contains scan. Stream
+	// modes scan only the bytes that arrived since the last inspection,
+	// with sticky hits per flow direction (streams are append-only, so
+	// sticky hits ≡ a full rescan), joined to a compacted history's carry
+	// until the seam window has arrived.
 	pg := m.prog
 	var hits uint64
-	if pg != nil {
-		if perPacket {
-			hits = pg.matchOnce(inspectBuf)
-		} else {
-			if n := int32(len(inspectBuf)); n > f.fed[di] {
-				f.acState[di], f.kwHits[di] = pg.feed(f.acState[di], inspectBuf[f.fed[di]:], f.kwHits[di])
-				f.fed[di] = n
+	if pg != nil && perPacket {
+		hits = pg.matchOnce(inspectBuf)
+	} else if pg != nil {
+		if n := len(inspectBuf); n > f.fed[di] {
+			if c := f.carry[di]; len(c) > 0 {
+				f.kwHits[di] |= pg.boundary(c, inspectBuf)
+				if n >= pg.maxLen-1 {
+					f.carry[di] = c[:0]
+				}
 			}
-			hits = f.kwHits[di]
+			f.kwHits[di] = pg.scan(inspectBuf, f.fed[di], f.kwHits[di])
+			f.fed[di] = n
 		}
+		hits = f.kwHits[di]
 	}
 
 	for i := range m.Cfg.Rules {
@@ -628,7 +633,7 @@ func (m *Middlebox) flowFor(ctx netem.Context, dir netem.Direction, p *packet.Pa
 
 // Quiesce implements netem.Quiescer: with the path idle every flow is
 // finished, so reassembly scratch compacts away. Classification verdicts,
-// gate state, and automaton positions survive — ground truth stays
+// gate state, and sticky keyword hits survive — ground truth stays
 // queryable — while fork clones and stream appends stop paying for dead
 // connection history.
 func (m *Middlebox) Quiesce() {
@@ -638,12 +643,15 @@ func (m *Middlebox) Quiesce() {
 }
 
 // compactFlow sheds a dead flow's reassembly buffers into the local free
-// list. Emptying the stream requires resetting fed (bytes of stream
-// already fed to the rule automaton) to keep its invariant fed ≤
-// len(stream); acState and kwHits keep the automaton's verdict-relevant
-// position.
+// list. Emptying the stream requires resetting fed (stream bytes already
+// scanned) to keep its invariant fed ≤ len(stream); kwHits stay, and the
+// stream's last maxLen-1 bytes move to carry, so a keyword split across
+// the compaction still matches when the flow continues.
 func (m *Middlebox) compactFlow(f *mbFlow) {
 	for di := 0; di < 2; di++ {
+		if m.prog != nil && len(f.stream[di]) > 0 {
+			f.carry[di] = m.prog.keepTail(f.carry[di], f.stream[di])
+		}
 		if c := f.stream[di]; cap(c) > 0 {
 			m.bufFree = append(m.bufFree, c[:0])
 		}
@@ -653,13 +661,12 @@ func (m *Middlebox) compactFlow(f *mbFlow) {
 	}
 }
 
-// clearFlow resets a flow record for reuse. Stream buffer capacity is
-// kept so a recycled flow's reassembly does not reallocate; out-of-order
-// maps are dropped (rare, unbounded key sets).
+// clearFlow resets a flow record for reuse. Stream and carry buffer
+// capacity is kept so a recycled flow's reassembly does not reallocate;
+// out-of-order maps are dropped (rare, unbounded key sets).
 func clearFlow(f *mbFlow) {
-	s0, s1 := f.stream[0][:0], f.stream[1][:0]
-	*f = mbFlow{}
-	f.stream[0], f.stream[1] = s0, s1
+	s, c := f.stream, f.carry
+	*f = mbFlow{stream: [2][]byte{s[0][:0], s[1][:0]}, carry: [2][]byte{c[0][:0], c[1][:0]}}
 }
 
 // freeFlow resets a flow record and returns it to the free list.

@@ -505,3 +505,39 @@ func TestNoEventsWithoutRecorder(t *testing.T) {
 		t.Fatalf("untraced rig did not classify: %q", got)
 	}
 }
+
+// TestKeywordSplitAcrossQuiesceMatches pins the stream-mode verdict across
+// compaction: Quiesce empties a UDP flow's stream, but the flow goes on,
+// and a keyword split across one or two compactions still classifies it,
+// as the sticky scan state promises.
+func TestKeywordSplitAcrossQuiesceMatches(t *testing.T) {
+	for _, parts := range [][]string{
+		{"xx split-", "keyword yy"},
+		{"xx spl", "it-k", "eyword"},
+		{"s", "p", "lit-keyword"},
+		{"xxxx split-keywor", "d"},
+	} {
+		r := newRig(Config{
+			Name:        "test",
+			Rules:       []Rule{NewRule("hit", FamilyAny, MatchC2S, "split-keyword")},
+			Mode:        InspectAllPackets,
+			Reassembly:  ReassembleArrival,
+			ClassifyUDP: true,
+			Seed:        1,
+		})
+		key := packet.FlowKey{Proto: packet.ProtoUDP, Src: cAddr, Dst: sAddr, SrcPort: 40000, DstPort: 3478}
+		for i, part := range parts {
+			if i > 0 {
+				r.mb.Quiesce()
+			}
+			if got := r.mb.FlowClass(key); got != "" {
+				t.Fatalf("%q: classified %q before the keyword completed", parts, got)
+			}
+			r.env.FromClient(packet.NewUDP(cAddr, sAddr, 40000, 3478, []byte(part)).Serialize())
+			r.clock.Run()
+		}
+		if got := r.mb.FlowClass(key); got != "hit" {
+			t.Fatalf("%q: keyword split across Quiesce gave class %q, want hit", parts, got)
+		}
+	}
+}

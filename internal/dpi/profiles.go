@@ -347,14 +347,14 @@ func NewATT() *Network {
 		Keywords: [][]byte{[]byte("GET "), []byte("HTTP/1.1"), []byte("Content-Type: video")},
 		Ports:    []uint16{80},
 	}
-	proxy := &TransparentProxy{
+	proxy := NewTransparentProxy(TransparentProxy{
 		Label:           "att-streamsaver",
 		Ports:           []uint16{80},
 		Rules:           []Rule{videoRule},
 		FirstPacketGate: true,
 		ThrottleBps:     1.5e6,
 		ThrottleBurst:   32 << 10,
-	}
+	})
 
 	addHops(env, 1, 2)
 	env.Append(proxy)

@@ -1,56 +1,53 @@
 package dpi
 
-// Compiled rule program: an Aho-Corasick automaton over every distinct
-// keyword pattern in a rule set, so inspection makes ONE pass over the
-// payload (or over newly arrived stream bytes) instead of a per-rule
-// bytes.Contains scan per frame.
+import (
+	"bytes"
+	"math/bits"
+)
+
+// Compiled rule program: each distinct keyword pattern owns one bit in a
+// uint64 and a rule compiles to the mask of its patterns' bits, so "all
+// keywords present" (Rule.MatchBytes) becomes hits&mask == mask. Matching
+// is one bytes.Index (SIMD substring search) per pattern not yet hit, over
+// only the new bytes plus the len(p)-1 before them. Streams are
+// append-only, so stream-mode hits stay sticky per flow direction: equal
+// to a full rescan, yet each byte is searched once per pattern. Cost grows
+// with the pattern count; built-in rule sets have at most 5, where a few
+// vectorized scans beat a byte-at-a-time automaton walk.
 //
-// Each distinct non-empty pattern owns one bit in a uint64; a rule's
-// compiled form is the mask of its patterns' bits, so "all keywords
-// present" (Rule.MatchBytes semantics) becomes hits&mask == mask. Streams
-// are append-only, so for reassembling classifiers the automaton state and
-// hit mask persist per flow direction and each stream byte is fed exactly
-// once per engagement — hit bits are sticky, which is equivalent to the
-// naive full-stream rescan because bytes.Contains over a growing buffer is
-// monotone.
+// boundary matches across a seam between two byte runs: the proxy's
+// MatchEither rules over c2s‖s2c, and a middlebox stream compacted away
+// (keepTail keeps its last maxLen-1 bytes) that the flow continues.
 //
-// Programs are built once per Middlebox construction and shared read-only
-// across ForkElement copies. They are deliberately NOT part of Config:
+// Programs are built once per element and shared read-only across
+// ForkElement copies. They are deliberately NOT part of Config:
 // Network.Fingerprint hashes Config with %+v, and a pointer field would
 // hash its address. Rule sets with more than 64 distinct patterns fall
-// back to the naive scan (prog == nil), keeping the automaton an
-// optimization rather than a constraint.
-
-// acNode is one automaton state with dense next-state transitions
-// (fail links are resolved into next during compilation).
-type acNode struct {
-	next [256]int32
-	out  uint64 // pattern bits whose match ends in this state
-}
+// back to the naive scan (prog == nil).
 
 // ruleProgram is the compiled form of a []Rule.
 type ruleProgram struct {
-	nodes []acNode
+	// patterns are the distinct non-empty keywords; bit i is patterns[i].
+	patterns [][]byte
 	// ruleMask[i] is the bit-mask of rule i's distinct non-empty keyword
 	// patterns; hits&ruleMask[i] == ruleMask[i] ⇔ Rules[i].MatchBytes.
 	ruleMask []uint64
 	// ruleFamBit[i] caches famBit(Rules[i].Family).
 	ruleFamBit []uint8
 	allMask    uint64
+	maxLen     int // longest pattern
 }
 
 // maxProgramPatterns bounds the distinct patterns a program can track.
 const maxProgramPatterns = 64
 
-// compileRules builds the automaton, or returns nil when the rule set
+// compileRules builds the program, or returns nil when the rule set
 // exceeds the pattern budget (callers then keep the naive scan).
 func compileRules(rules []Rule) *ruleProgram {
 	if len(rules) == 0 {
 		return nil
 	}
-	// Assign one bit per distinct non-empty pattern.
 	bit := make(map[string]uint64)
-	var patterns [][]byte
 	pg := &ruleProgram{
 		ruleMask:   make([]uint64, len(rules)),
 		ruleFamBit: make([]uint8, len(rules)),
@@ -63,108 +60,71 @@ func compileRules(rules []Rule) *ruleProgram {
 			}
 			b, ok := bit[string(kw)]
 			if !ok {
-				if len(patterns) >= maxProgramPatterns {
+				if len(pg.patterns) >= maxProgramPatterns {
 					return nil
 				}
-				b = 1 << uint(len(patterns))
+				b = 1 << uint(len(pg.patterns))
 				bit[string(kw)] = b
-				patterns = append(patterns, kw)
+				pg.patterns = append(pg.patterns, kw)
+				pg.maxLen = max(pg.maxLen, len(kw))
 			}
 			pg.ruleMask[i] |= b
 			pg.allMask |= b
 		}
 	}
-
-	// Trie construction. next == -1 marks "no edge" until densification.
-	pg.nodes = make([]acNode, 1, 16)
-	for c := range pg.nodes[0].next {
-		pg.nodes[0].next[c] = -1
-	}
-	for pi, pat := range patterns {
-		s := int32(0)
-		for _, c := range pat {
-			t := pg.nodes[s].next[c]
-			if t < 0 {
-				t = int32(len(pg.nodes))
-				var n acNode
-				for i := range n.next {
-					n.next[i] = -1
-				}
-				pg.nodes = append(pg.nodes, n)
-				pg.nodes[s].next[c] = t
-			}
-			s = t
-		}
-		pg.nodes[s].out |= 1 << uint(pi)
-	}
-
-	// BFS: compute fail links, fold fail outputs in, and densify the
-	// transition table so feed never chases fail chains.
-	fail := make([]int32, len(pg.nodes))
-	queue := make([]int32, 0, len(pg.nodes))
-	for c := range pg.nodes[0].next {
-		t := pg.nodes[0].next[c]
-		if t < 0 {
-			pg.nodes[0].next[c] = 0
-			continue
-		}
-		fail[t] = 0
-		queue = append(queue, t)
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		s := queue[qi]
-		pg.nodes[s].out |= pg.nodes[fail[s]].out
-		for c := range pg.nodes[s].next {
-			t := pg.nodes[s].next[c]
-			if t < 0 {
-				pg.nodes[s].next[c] = pg.nodes[fail[s]].next[c]
-				continue
-			}
-			fail[t] = pg.nodes[fail[s]].next[c]
-			queue = append(queue, t)
-		}
-	}
 	return pg
 }
 
-// feed advances the automaton over data, or-ing pattern hits into hits.
-// Both the state and the accumulated hits are returned so stream-mode
-// callers can persist them per flow direction.
-func (pg *ruleProgram) feed(state int32, data []byte, hits uint64) (int32, uint64) {
-	nodes := pg.nodes
-	for _, c := range data {
-		state = nodes[state].next[c]
-		hits |= nodes[state].out
-	}
-	return state, hits
-}
-
-// matchOnce scans one isolated payload from the root state, early-exiting
-// once every pattern has been seen.
-func (pg *ruleProgram) matchOnce(data []byte) uint64 {
-	nodes := pg.nodes
-	all := pg.allMask
-	var hits uint64
-	state := int32(0)
-	for _, c := range data {
-		state = nodes[state].next[c]
-		if o := nodes[state].out; o != 0 {
-			hits |= o
-			if hits == all {
-				break
-			}
+// scan ors into hits every pattern that occurs in buf, given that
+// buf[:fed] was already scanned into hits: each pattern not yet hit is
+// searched for only where it could end in buf[fed:].
+func (pg *ruleProgram) scan(buf []byte, fed int, hits uint64) uint64 {
+	for miss := pg.allMask &^ hits; miss != 0; miss &= miss - 1 {
+		i := bits.TrailingZeros64(miss)
+		p := pg.patterns[i]
+		if bytes.Index(buf[max(0, fed-len(p)+1):], p) >= 0 {
+			hits |= 1 << uint(i)
 		}
 	}
 	return hits
+}
+
+// matchOnce scans one isolated payload.
+func (pg *ruleProgram) matchOnce(data []byte) uint64 { return pg.scan(data, 0, 0) }
+
+// boundary returns the hits of left‖right's seam window: the last maxLen-1
+// bytes of left joined to the first maxLen-1 bytes of right, which holds
+// every occurrence that spans the seam.
+func (pg *ruleProgram) boundary(left, right []byte) uint64 {
+	k := pg.maxLen - 1
+	if k == 0 || len(left) == 0 || len(right) == 0 {
+		return 0
+	}
+	var win [128]byte
+	seam := append(append(win[:0], left[max(0, len(left)-k):]...), right[:min(len(right), k)]...)
+	return pg.matchOnce(seam)
+}
+
+// keepTail returns the last maxLen-1 bytes of carry‖s, reusing carry's
+// storage: what boundary needs of a history whose stream s is compacted
+// away.
+func (pg *ruleProgram) keepTail(carry, s []byte) []byte {
+	k := pg.maxLen - 1
+	if len(s) >= k {
+		return append(carry[:0], s[len(s)-k:]...)
+	}
+	if drop := len(carry) + len(s) - k; drop > 0 {
+		carry = carry[:copy(carry, carry[drop:])]
+	}
+	return append(carry, s...)
 }
 
 // gateFamilies is the fixed set of protocol families first-packet gates
 // recognize, hoisted so gate evaluation allocates nothing per flow.
 var gateFamilies = [...]Family{FamilyHTTP, FamilyTLS, FamilySTUN}
 
-// famBit maps a gate family to its bit in mbFlow.famBits. Families outside
-// the gate set map to 0 (never recognized — same as the map-based gate,
-// which only ever inserted the three gate families).
+// famBit maps a gate family to its bit in a flow's famBits. Families
+// outside the gate set map to 0 (never recognized).
 func famBit(f Family) uint8 {
 	switch f {
 	case FamilyHTTP:

@@ -78,9 +78,9 @@ func corpus(rules []Rule, seed int64) [][]byte {
 }
 
 // TestProgramMatchesNaiveScan verifies, for every profile rule set, that
-// the compiled automaton's hit mask reproduces Rule.MatchBytes exactly on
-// a mixed corpus — both via one-shot matching and via incremental feeding
-// in adversarially small chunks (keywords split across chunk boundaries).
+// the compiled program's hit mask reproduces Rule.MatchBytes exactly on
+// a mixed corpus — both via one-shot matching and via incremental scans
+// of adversarially small chunks (keywords split across chunk boundaries).
 func TestProgramMatchesNaiveScan(t *testing.T) {
 	for name, rules := range profileRuleSets(t) {
 		t.Run(name, func(t *testing.T) {
@@ -92,13 +92,10 @@ func TestProgramMatchesNaiveScan(t *testing.T) {
 			for ci, data := range corpus(rules, 0xc0de) {
 				oneShot := pg.matchOnce(data)
 				// Incremental: random chunking must agree with one-shot.
-				state, incr := int32(0), uint64(0)
+				var incr uint64
 				for off := 0; off < len(data); {
-					n := 1 + rng.Intn(7)
-					if off+n > len(data) {
-						n = len(data) - off
-					}
-					state, incr = pg.feed(state, data[off:off+n], incr)
+					n := min(1+rng.Intn(7), len(data)-off)
+					incr = pg.scan(data[:off+n], off, incr)
 					off += n
 				}
 				if incr != oneShot {
@@ -118,7 +115,7 @@ func TestProgramMatchesNaiveScan(t *testing.T) {
 }
 
 // TestProgramStickyHitsMatchStreamRescan checks the stream-mode contract:
-// feeding an append-only stream incrementally, with hits carried across
+// scanning an append-only stream's new bytes, with hits carried across
 // packets, classifies exactly like rescanning the whole stream per packet.
 func TestProgramStickyHitsMatchStreamRescan(t *testing.T) {
 	for name, rules := range profileRuleSets(t) {
@@ -127,7 +124,7 @@ func TestProgramStickyHitsMatchStreamRescan(t *testing.T) {
 			rng := detrand.New(0x57ea)
 			for trial := 0; trial < 50; trial++ {
 				var stream []byte
-				state, hits := int32(0), uint64(0)
+				var hits uint64
 				for pkt := 0; pkt < 8; pkt++ {
 					var chunk []byte
 					if rng.Intn(2) == 0 && len(rules) > 0 {
@@ -137,16 +134,16 @@ func TestProgramStickyHitsMatchStreamRescan(t *testing.T) {
 							// Sometimes split the keyword across two appends.
 							cut := rng.Intn(len(kw) + 1)
 							chunk = append(chunk, kw[:cut]...)
+							hits = pg.scan(append(stream, chunk...), len(stream), hits)
 							stream = append(stream, chunk...)
-							state, hits = pg.feed(state, chunk, hits)
 							chunk = append([]byte(nil), kw[cut:]...)
 						}
 					}
 					for i := 0; i < rng.Intn(20); i++ {
 						chunk = append(chunk, byte(rng.Intn(256)))
 					}
+					hits = pg.scan(append(stream, chunk...), len(stream), hits)
 					stream = append(stream, chunk...)
-					state, hits = pg.feed(state, chunk, hits)
 					for i := range rules {
 						naive := rules[i].MatchBytes(stream)
 						compiled := hits&pg.ruleMask[i] == pg.ruleMask[i]
@@ -252,9 +249,12 @@ func differentialPayload(rules []Rule, rng *detrand.Rand, pkt int) string {
 
 // FuzzProgramMatchesNaive is the differential fuzz target behind
 // TestProgramMatchesNaiveScan: for arbitrary stream bytes and an
-// arbitrary chunking, every profile's compiled automaton must agree with
-// the naive per-rule scan, both one-shot and fed incrementally. The seed
-// corpus runs on every plain `go test` (including CI's -race pass);
+// arbitrary chunking, every profile's compiled program must agree with
+// the naive per-rule scan, both one-shot and scanned incrementally. The
+// same chunking also cuts the bytes into compacted histories: the carry
+// keepTail keeps, joined by boundary to the next chunk, must find exactly
+// the keywords of the whole. The seed corpus runs on every plain
+// `go test` (including CI's -race pass);
 // `go test -fuzz FuzzProgramMatchesNaive ./internal/dpi` explores further.
 func FuzzProgramMatchesNaive(f *testing.F) {
 	f.Add([]byte("GET /video HTTP/1.1\r\nHost: youtube.com\r\n\r\n"), uint8(3))
@@ -269,17 +269,19 @@ func FuzzProgramMatchesNaive(f *testing.F) {
 				continue
 			}
 			oneShot := pg.matchOnce(data)
-			state, incr := int32(0), uint64(0)
+			var incr, compacted uint64
+			var carry []byte
 			for off := 0; off < len(data); {
-				n := step
-				if off+n > len(data) {
-					n = len(data) - off
-				}
-				state, incr = pg.feed(state, data[off:off+n], incr)
+				n := min(step, len(data)-off)
+				incr = pg.scan(data[:off+n], off, incr)
+				chunk := data[off : off+n]
+				compacted |= pg.boundary(carry, chunk) | pg.matchOnce(chunk)
+				carry = pg.keepTail(carry, chunk)
 				off += n
 			}
-			if incr != oneShot {
-				t.Fatalf("%s: incremental hits %#x != one-shot %#x (step %d, data %q)", name, incr, oneShot, step, data)
+			if incr != oneShot || compacted != oneShot {
+				t.Fatalf("%s: incremental hits %#x, compacted %#x != one-shot %#x (step %d, data %q)",
+					name, incr, compacted, oneShot, step, data)
 			}
 			for i := range rules {
 				naive := rules[i].MatchBytes(data)

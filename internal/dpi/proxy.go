@@ -31,20 +31,18 @@ type TransparentProxy struct {
 	ThrottleBps   float64
 	ThrottleBurst int
 
+	prog  *ruleProgram // compiled Rules (nil = naive scan), shared by forks
 	flows map[packet.FlowKey]*proxyFlow
 	// bufFree holds stream buffers reclaimed from cleanly closed flows
 	// (compactFlow) for reuse by new flows on this proxy instance. Local,
 	// never shared with forks.
 	bufFree [][]byte
-	// scratch backs MatchEither's stream concatenation so per-packet
-	// classification does not allocate. Never shared across forks.
-	scratch []byte
 }
 
 type proxyFlow struct {
 	class       string
 	gateChecked bool
-	families    map[Family]bool
+	famBits     uint8 // recognized gate families (famBit bits)
 	// Per direction (0 = c2s, 1 = s2c) stream state.
 	exp       [2]uint32
 	expValid  [2]bool
@@ -52,7 +50,15 @@ type proxyFlow struct {
 	forwarded [2]uint32 // stream offset already re-emitted
 	ooo       [2]map[uint32][]byte
 	stream    [2][]byte
+	kwHits    [2]uint64 // sticky compiled-program hits
+	fed       [2]int    // stream bytes scanned into kwHits
 	shaper    *shaper
+}
+
+// NewTransparentProxy returns a proxy configured as x, rules compiled.
+func NewTransparentProxy(x TransparentProxy) *TransparentProxy {
+	x.prog = compileRules(x.Rules)
+	return &x
 }
 
 // Name implements netem.Element.
@@ -82,11 +88,10 @@ func (x *TransparentProxy) ResetState() { x.flows = nil }
 
 // ForkElement implements netem.Forkable: per-flow reassembly buffers,
 // classification, forwarding offsets, and shaper positions are deep-copied.
-// Ports and Rules are shared read-only configuration.
+// Ports, Rules and the compiled program are shared read-only configuration.
 func (x *TransparentProxy) ForkElement() netem.Element {
 	c := *x
-	c.scratch = nil // never share the match buffer with the fork
-	c.bufFree = nil // nor the reclaimed-buffer free list
+	c.bufFree = nil // never share the reclaimed-buffer free list
 	if x.flows != nil {
 		c.flows = make(map[packet.FlowKey]*proxyFlow, len(x.flows))
 		for k, f := range x.flows {
@@ -97,22 +102,17 @@ func (x *TransparentProxy) ForkElement() netem.Element {
 }
 
 // proxyFlowPool recycles proxied-flow records (with their grown stream
-// buffers and families maps) across proxy instances, mirroring mbFlowPool:
+// buffers) across proxy instances, mirroring mbFlowPool:
 // single-trial forks deep-copy every live flow, and reassembled streams
 // are the bulk of fork cost.
 var proxyFlowPool = sync.Pool{New: func() any { return new(proxyFlow) }}
 
-// clearProxyFlow resets a flow record for reuse, keeping stream capacity
-// and the (cleared) families map; out-of-order maps are dropped.
+// clearProxyFlow resets a flow record for reuse, keeping stream capacity;
+// out-of-order maps are dropped.
 func clearProxyFlow(f *proxyFlow) {
 	s0, s1 := f.stream[0][:0], f.stream[1][:0]
-	fam := f.families
 	*f = proxyFlow{}
 	f.stream[0], f.stream[1] = s0, s1
-	if fam != nil {
-		clear(fam)
-		f.families = fam
-	}
 }
 
 // Release returns all flow records to the process-wide pool. Legal only
@@ -127,19 +127,11 @@ func (x *TransparentProxy) Release() {
 }
 
 // clone deep-copies one proxied flow into a pooled record, reusing the
-// recycled record's stream capacity and families map.
+// recycled record's stream capacity.
 func (f *proxyFlow) clone() *proxyFlow {
 	c := proxyFlowPool.Get().(*proxyFlow)
 	s0, s1 := c.stream[0][:0], c.stream[1][:0]
-	fam := c.families
 	*c = *f
-	if fam == nil {
-		fam = make(map[Family]bool, len(f.families))
-	}
-	for k, v := range f.families {
-		fam[k] = v
-	}
-	c.families = fam
 	c.stream[0] = append(s0, f.stream[0]...)
 	c.stream[1] = append(s1, f.stream[1]...)
 	for di := 0; di < 2; di++ {
@@ -192,9 +184,6 @@ func (x *TransparentProxy) Process(ctx netem.Context, dir netem.Direction, fr *p
 
 	if t.Flags.Has(packet.FlagSYN) && !t.Flags.Has(packet.FlagACK) {
 		f = proxyFlowPool.Get().(*proxyFlow)
-		if f.families == nil {
-			f.families = make(map[Family]bool)
-		}
 		for di := 0; di < 2; di++ {
 			if n := len(x.bufFree); f.stream[di] == nil && n > 0 {
 				f.stream[di] = x.bufFree[n-1]
@@ -272,15 +261,14 @@ func (x *TransparentProxy) compactFlow(f *proxyFlow) {
 		f.stream[di] = nil
 		f.ooo[di] = nil
 		f.forwarded[di] = 0
+		f.kwHits[di] = 0
+		f.fed[di] = 0
 	}
 	f.shaper = nil
 }
 
 // ingest adds payload to the direction's reassembly, first copy wins.
 func (x *TransparentProxy) ingest(f *proxyFlow, di int, seq uint32, payload []byte) {
-	if f.ooo[di] == nil {
-		f.ooo[di] = make(map[uint32][]byte)
-	}
 	if !f.expValid[di] {
 		f.exp[di] = seq
 		f.expValid[di] = true
@@ -291,6 +279,9 @@ func (x *TransparentProxy) ingest(f *proxyFlow, di int, seq uint32, payload []by
 		f.stream[di] = append(f.stream[di], payload...)
 		f.exp[di] += uint32(len(payload))
 	case seq-f.exp[di] < win:
+		if f.ooo[di] == nil {
+			f.ooo[di] = make(map[uint32][]byte)
+		}
 		if _, dup := f.ooo[di][seq]; !dup {
 			f.ooo[di][seq] = append([]byte(nil), payload...)
 		}
@@ -350,29 +341,19 @@ func (x *TransparentProxy) classifyStreams(ctx netem.Context, f *proxyFlow, key 
 		f.gateChecked = true
 		for _, fam := range gateFamilies {
 			if RecognizeFamily(fam, f.stream[0]) {
-				f.families[fam] = true
+				f.famBits |= famBit(fam)
 			}
 		}
 	}
 	for i := range x.Rules {
 		r := &x.Rules[i]
-		if !r.AppliesToPort(serverPort) {
+		if !r.AppliesToPort(serverPort) || len(r.Keywords) == 0 {
 			continue
 		}
-		if x.FirstPacketGate && r.Family != FamilyAny && !f.families[r.Family] {
+		if x.FirstPacketGate && r.Family != FamilyAny && f.famBits&famBit(r.Family) == 0 {
 			continue
 		}
-		var buf []byte
-		switch r.Dir {
-		case MatchC2S:
-			buf = f.stream[0]
-		case MatchS2C:
-			buf = f.stream[1]
-		case MatchEither:
-			x.scratch = append(append(x.scratch[:0], f.stream[0]...), f.stream[1]...)
-			buf = x.scratch
-		}
-		if len(r.Keywords) > 0 && r.MatchBytes(buf) {
+		if x.matches(f, r, i) {
 			f.class = r.Class
 			if ctx.Traced() {
 				rec := ctx.Rec()
@@ -386,6 +367,41 @@ func (x *TransparentProxy) classifyStreams(ctx netem.Context, f *proxyFlow, key 
 			break
 		}
 	}
+}
+
+// matches reports whether rule i's keywords all occur in the stream its
+// Dir names, MatchEither meaning c2s‖s2c. The compiled path scans only
+// bytes gained since the last scan, so a flow no rule passes the gates
+// for is never scanned and a later scan catches up exactly; MatchEither
+// adds the window around the seam where c2s currently ends.
+func (x *TransparentProxy) matches(f *proxyFlow, r *Rule, i int) bool {
+	pg := x.prog
+	if pg == nil {
+		buf := f.stream[0]
+		switch r.Dir {
+		case MatchS2C:
+			buf = f.stream[1]
+		case MatchEither:
+			buf = append(buf[:len(buf):len(buf)], f.stream[1]...)
+		}
+		return r.MatchBytes(buf)
+	}
+	for di, s := range f.stream {
+		if len(s) > f.fed[di] {
+			f.kwHits[di] = pg.scan(s, f.fed[di], f.kwHits[di])
+			f.fed[di] = len(s)
+		}
+	}
+	mask, hits := pg.ruleMask[i], f.kwHits[0]
+	switch r.Dir {
+	case MatchS2C:
+		hits = f.kwHits[1]
+	case MatchEither:
+		if hits |= f.kwHits[1]; hits&mask != mask {
+			hits |= pg.boundary(f.stream[0], f.stream[1])
+		}
+	}
+	return hits&mask == mask
 }
 
 // drain re-emits newly contiguous stream bytes as clean MTU segments with

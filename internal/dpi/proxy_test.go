@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/detrand"
 	"repro/internal/netem"
 	"repro/internal/netem/packet"
 	"repro/internal/netem/vclock"
 )
 
 func newProxyRig() (*rig, *TransparentProxy) {
-	r := &rig{clock: vclock.New()}
-	r.env = netem.New(r.clock, cAddr, sAddr)
-	proxy := &TransparentProxy{
+	proxy := NewTransparentProxy(TransparentProxy{
 		Label: "proxy",
 		Ports: []uint16{80},
 		Rules: []Rule{{
@@ -21,7 +20,14 @@ func newProxyRig() (*rig, *TransparentProxy) {
 			Ports:    []uint16{80},
 		}},
 		FirstPacketGate: true,
-	}
+	})
+	return newProxyRigWith(proxy), proxy
+}
+
+// newProxyRigWith wires the given proxy between two capture endpoints.
+func newProxyRigWith(proxy *TransparentProxy) *rig {
+	r := &rig{clock: vclock.New()}
+	r.env = netem.New(r.clock, cAddr, sAddr)
 	r.env.Append(proxy)
 	r.env.SetServer(netem.EndpointFunc(func(raw []byte) {
 		r.atServer = append(r.atServer, append([]byte(nil), raw...))
@@ -29,7 +35,7 @@ func newProxyRig() (*rig, *TransparentProxy) {
 	r.env.SetClient(netem.EndpointFunc(func(raw []byte) {
 		r.atClient = append(r.atClient, append([]byte(nil), raw...))
 	}))
-	return r, proxy
+	return r
 }
 
 func serverPayloads(r *rig) []byte {
@@ -124,6 +130,161 @@ func TestProxyClassifiesOnResponse(t *testing.T) {
 	if proxy.FlowClass(f.key()) != "video" {
 		t.Fatalf("response-side rule did not fire: %q", proxy.FlowClass(f.key()))
 	}
+}
+
+// respond sends one server→client payload on the flow.
+func (f *flow) respond(payload string) {
+	p := packet.NewTCP(sAddr, cAddr, 80, f.sport, f.serverSeq, f.seq, packet.FlagACK|packet.FlagPSH, []byte(payload))
+	f.r.env.FromServer(p.Serialize())
+	f.serverSeq += uint32(len(payload))
+	f.r.clock.Run()
+}
+
+// TestProxyCompiledVsNaive runs identical scripts through two AT&T
+// proxies — one with the compiled program, one forced onto the naive
+// rescan — and asserts identical classification after every packet:
+// requests split out of order, responses, keywords planted across the
+// c2s‖s2c seam, and quiescence compacting the flow mid-script.
+func TestProxyCompiledVsNaive(t *testing.T) {
+	cfg := *NewATT().Proxy
+	rules := cfg.Rules
+	rng := detrand.New(0xa77)
+	for trial := 0; trial < 60; trial++ {
+		fastProxy := NewTransparentProxy(cfg)
+		slowProxy := NewTransparentProxy(cfg)
+		slowProxy.prog = nil // force the naive rescan
+		fast, slow := newProxyRigWith(fastProxy), newProxyRigWith(slowProxy)
+		sport := uint16(42000 + trial)
+		ff, fs := fast.newFlow(sport), slow.newFlow(sport)
+		nPkts := 1 + rng.Intn(8)
+		for pkt := 0; pkt < nPkts; pkt++ {
+			payload := differentialPayload(rules, rng, pkt)
+			if pkt == 0 && rng.Intn(4) != 0 {
+				payload = "GET /v HTTP/1.1\r\n" + payload // pass the HTTP gate
+			}
+			planted := rng.Intn(3) == 0
+			if planted {
+				// End the request mid-keyword; the response completes it.
+				kw := rules[0].Keywords[rng.Intn(len(rules[0].Keywords))]
+				cut := rng.Intn(len(kw) + 1)
+				ff.send(payload + string(kw[:cut]))
+				fs.send(payload + string(kw[:cut]))
+				payload = string(kw[cut:]) + payload
+			}
+			switch {
+			case planted || rng.Intn(3) == 0:
+				ff.respond(payload)
+				fs.respond(payload)
+			case rng.Intn(4) == 0 && len(payload) > 1:
+				// The second half lands first, then the first half.
+				cut := 1 + rng.Intn(len(payload)-1)
+				ff.sendAt(cut, payload[cut:])
+				fs.sendAt(cut, payload[cut:])
+				ff.send(payload[:cut])
+				fs.send(payload[:cut])
+				ff.seq += uint32(len(payload) - cut)
+				fs.seq += uint32(len(payload) - cut)
+			default:
+				ff.send(payload)
+				fs.send(payload)
+			}
+			if rng.Intn(6) == 0 {
+				fastProxy.Quiesce()
+				slowProxy.Quiesce()
+			}
+			if got, want := fastProxy.FlowClass(ff.key()), slowProxy.FlowClass(fs.key()); got != want {
+				t.Fatalf("trial %d pkt %d: compiled class %q != naive class %q (payload %q)",
+					trial, pkt, got, want, payload)
+			}
+		}
+	}
+}
+
+// TestProxyCompactionRestartsMatching pins the proxy's compaction
+// semantics: once Quiesce compacts a flow, classification sees only the
+// bytes that arrive afterwards, on the compiled path as on the naive one,
+// so keywords seen before the compaction no longer count.
+func TestProxyCompactionRestartsMatching(t *testing.T) {
+	cfg := *NewATT().Proxy
+	for _, compiled := range []bool{true, false} {
+		proxy := NewTransparentProxy(cfg)
+		if !compiled {
+			proxy.prog = nil
+		}
+		r := newProxyRigWith(proxy)
+		f := r.newFlow(40000)
+		f.send("GET /v HTTP/1.1\r\nHost: x\r\n\r\n")
+		proxy.Quiesce()
+		f.respond("Content-Type: video/mp4\r\n\r\n")
+		if got := proxy.FlowClass(f.key()); got != "" {
+			t.Fatalf("compiled=%v: keywords from before the compaction classified the flow as %q", compiled, got)
+		}
+	}
+}
+
+// FuzzProxyMatchesNaive pins the proxy's incremental matching to the
+// naive rescan: arbitrary c2s and s2c bytes arrive interleaved in
+// arbitrary chunks (plan bytes pick the direction and size), and after
+// every chunk each rule's compiled verdict must equal Rule.MatchBytes
+// over the stream its Dir names, c2s‖s2c for MatchEither. The rules are
+// every profile's keyword sets under each Dir.
+func FuzzProxyMatchesNaive(f *testing.F) {
+	f.Add([]byte("GET /v HTTP/1.1\r\nAccept: */*\r\nContent-Ty"), []byte("pe: video/mp4\r\n\r\n"), []byte{0x10, 0x21, 0x7f})
+	f.Add([]byte("GET /v HTTP/1.1\r\nHost: cloudfront.ne"), []byte("t\r\n"), []byte{0x00, 0x01})
+	f.Add([]byte("xxGE"), []byte("T HTTP/1."), []byte{0x06, 0x03, 0x02})
+	f.Add([]byte("facebook.c"), []byte("om"), []byte{0x02})
+	f.Add([]byte{}, []byte("Content-Type: video"), []byte{})
+	var rules []Rule
+	for _, n := range AllNetworks() {
+		var set []Rule
+		if n.MB != nil {
+			set = append(set, n.MB.Cfg.Rules...)
+		}
+		if n.Proxy != nil {
+			set = append(set, n.Proxy.Rules...)
+		}
+		for _, r := range set {
+			for _, d := range []MatchDir{MatchC2S, MatchS2C, MatchEither} {
+				rules = append(rules, Rule{Class: r.Class, Dir: d, Keywords: r.Keywords})
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, c2s, s2c, plan []byte) {
+		x := NewTransparentProxy(TransparentProxy{Rules: rules})
+		if x.prog == nil {
+			t.Fatal("profile keywords exceed the program's pattern budget")
+		}
+		fl := new(proxyFlow)
+		src := [2][]byte{c2s, s2c}
+		for step := 0; len(src[0])+len(src[1]) > 0; step++ {
+			b := byte(step)
+			if len(plan) > 0 {
+				b = plan[step%len(plan)]
+			}
+			di := int(b & 1)
+			if len(src[di]) == 0 {
+				di = 1 - di
+			}
+			n := min(1+int(b>>1)%16, len(src[di]))
+			fl.stream[di] = append(fl.stream[di], src[di][:n]...)
+			src[di] = src[di][n:]
+			both := append(append([]byte(nil), fl.stream[0]...), fl.stream[1]...)
+			for i := range x.Rules {
+				r := &x.Rules[i]
+				buf := both
+				switch r.Dir {
+				case MatchC2S:
+					buf = fl.stream[0]
+				case MatchS2C:
+					buf = fl.stream[1]
+				}
+				if got, want := x.matches(fl, r, i), r.MatchBytes(buf); got != want {
+					t.Fatalf("step %d rule %d (%v %q): compiled=%v naive=%v c2s=%q s2c=%q",
+						step, i, r.Dir, r.Keywords, got, want, fl.stream[0], fl.stream[1])
+				}
+			}
+		}
+	})
 }
 
 func TestStatefulFirewallDropsOutOfWindow(t *testing.T) {

@@ -21,8 +21,8 @@ const DefaultBody = 96 << 10
 
 // NetworkEntry describes one built-in simulated network profile.
 type NetworkEntry struct {
-	Name string `json:"name"`
-	Desc string `json:"desc"`
+	Name string              `json:"name"`
+	Desc string              `json:"desc"`
 	New  func() *dpi.Network `json:"-"`
 }
 
