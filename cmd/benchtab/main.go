@@ -16,7 +16,7 @@
 //	benchtab -exp scenarios    # scenario-pack sweep determinism + cluster chaos dichotomy gate (exit 1 on failure)
 //	benchtab -exp overhead     # clean-network overhead guards: robust mode ≤5%, recorder armed ≤15% (exit 1 above budget)
 //	benchtab -exp allocs       # allocation guards: engagement allocs/op budget + zero-alloc scheduler steady state (exit 1 above)
-//	benchtab -exp sched        # timing-wheel scheduler microbenchmarks (depths, cancel churn, same-instant dispatch)
+//	benchtab -exp sched        # scheduler microbenchmarks (depths, link-delay-shaped traffic, cancel churn, same-instant dispatch)
 //	benchtab -exp trace        # trace schema gate: one traced engagement validated against liberate-trace/v1
 //	benchtab -exp fingerprint  # ambiguity fingerprint: per-profile identification + pruned vs full cold sweep (exit 1 on misidentification or nondeterminism)
 //	benchtab -exp fingerprint -bench-json BENCH_6.json   # ... plus JSON snapshot
@@ -218,13 +218,13 @@ func run() int {
 		s := experiments.MeasureSchedulerAllocs()
 		fmt.Printf("scheduler steady state: %d allocs/op (budget 0)\n\n", s)
 		if s != 0 {
-			fmt.Fprintf(os.Stderr, "benchtab: scheduler schedule→fire path allocates (%d allocs/op); the wheel's steady state must be pointer-free\n", s)
+			fmt.Fprintf(os.Stderr, "benchtab: scheduler schedule→fire path allocates (%d allocs/op); the scheduler's steady state must be pointer-free\n", s)
 			return 1
 		}
 		ran = true
 	}
 	if *all || *exp == "sched" {
-		fmt.Println("== sched: timing-wheel scheduler microbenchmarks ==")
+		fmt.Println("== sched: virtual-clock scheduler microbenchmarks ==")
 		snap := experiments.RunSched()
 		fmt.Println(snap.Render())
 		if *bjson != "" {

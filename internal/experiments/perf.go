@@ -204,11 +204,11 @@ func RunPerf() *PerfSnapshot {
 }
 
 // EngagementAllocBudget is the CI ceiling on allocations per full
-// engagement. The timing-wheel scheduler, payload-sum memoization, and
+// engagement. The pointer-free scheduler, payload-sum memoization, and
 // pooled replay setup run one at ~6.3k allocs; the budget leaves modest
 // headroom for legitimate feature growth while catching a regression
 // that reintroduces per-event or per-packet heap traffic (the seed ran
-// ~161k, the pre-wheel pipeline ~7k).
+// ~161k, the pipeline before the pointer-free scheduler ~7k).
 const EngagementAllocBudget = 8_000
 
 // MeasureEngagementAllocs runs full engagements under the benchmark

@@ -8,16 +8,17 @@ import (
 	"time"
 )
 
-// The differential harness drives the timing wheel and a brute-force
-// reference scheduler with the same randomized script — schedules across
-// every delay class (zero, same-tick bursts, in-wheel, cross-level,
-// past-the-horizon, negative/past-deadline clamps), cancellations, nested
-// scheduling from inside callbacks, partial drains, and forks — and
-// requires byte-identical logs: same fire order, same timestamps, same
-// Pending counts, same Fork seq parity. The reference is deliberately the
-// dumbest possible implementation (linear scan for the (at, seq) minimum),
-// so any divergence indicts the wheel's routing, cascade, or staging
-// logic, never the oracle.
+// The differential harness drives the clock and a brute-force reference
+// scheduler with the same randomized script — schedules across lane-shaped
+// delay classes (long runs of one delay, concurrent distinct delays that
+// spill to the heap and re-key the lane as it drains, delays one
+// nanosecond off the lane's key, hour-scale delays, zero and negative
+// clamps), cancellations, nested scheduling from inside callbacks, partial
+// drains, and forks — and requires byte-identical logs: same fire order,
+// same timestamps, same Pending counts, same Fork seq parity. The reference is deliberately the dumbest
+// possible implementation (linear scan for the (at, seq) minimum), so any
+// divergence indicts the clock's lane routing, re-keying, heap, or Stop
+// bookkeeping, never the oracle.
 
 // sched abstracts the two implementations behind one driving surface.
 type sched interface {
@@ -32,22 +33,22 @@ type sched interface {
 	fork() sched
 }
 
-// wheelSched adapts *Clock. kindSel picks the public scheduling API so the
+// clockSched adapts *Clock. kindSel picks the public scheduling API so the
 // closure, pair, and registered-index paths all get differential coverage.
-type wheelSched struct {
+type clockSched struct {
 	c     *Clock
 	reg   FnID
 	tramp []func() // trampoline slots for the ScheduleIdx path
 	free  []uint32
 }
 
-func newWheelSched() *wheelSched {
-	w := &wheelSched{c: New()}
+func newClockSched() *clockSched {
+	w := &clockSched{c: New()}
 	w.bind()
 	return w
 }
 
-func (w *wheelSched) bind() {
+func (w *clockSched) bind() {
 	w.reg = w.c.RegisterFn(func(arg uint32) {
 		fn := w.tramp[arg]
 		w.tramp[arg] = nil
@@ -56,7 +57,7 @@ func (w *wheelSched) bind() {
 	})
 }
 
-func (w *wheelSched) schedule(delayNS int64, kindSel int, fn func()) func() bool {
+func (w *clockSched) schedule(delayNS int64, kindSel int, fn func()) func() bool {
 	var t Timer
 	switch kindSel % 3 {
 	case 0:
@@ -78,18 +79,18 @@ func (w *wheelSched) schedule(delayNS int64, kindSel int, fn func()) func() bool
 	return t.Stop
 }
 
-func (w *wheelSched) scheduleAt(atNS int64, fn func()) {
+func (w *clockSched) scheduleAt(atNS int64, fn func()) {
 	w.c.ScheduleAt(Epoch.Add(time.Duration(atNS)), fn)
 }
 
-func (w *wheelSched) step() (bool, error)       { return w.c.Step() }
-func (w *wheelSched) run() error                { return w.c.Run() }
-func (w *wheelSched) runUntil(atNS int64) error { return w.c.RunUntil(Epoch.Add(time.Duration(atNS))) }
-func (w *wheelSched) nowNS() int64              { return w.c.NowNS() }
-func (w *wheelSched) seq() uint64               { return w.c.Seq() }
-func (w *wheelSched) pending() int              { return w.c.Pending() }
-func (w *wheelSched) fork() sched {
-	nw := &wheelSched{c: w.c.Fork()}
+func (w *clockSched) step() (bool, error)       { return w.c.Step() }
+func (w *clockSched) run() error                { return w.c.Run() }
+func (w *clockSched) runUntil(atNS int64) error { return w.c.RunUntil(Epoch.Add(time.Duration(atNS))) }
+func (w *clockSched) nowNS() int64              { return w.c.NowNS() }
+func (w *clockSched) seq() uint64               { return w.c.Seq() }
+func (w *clockSched) pending() int              { return w.c.Pending() }
+func (w *clockSched) fork() sched {
+	nw := &clockSched{c: w.c.Fork()}
 	nw.bind()
 	return nw
 }
@@ -192,24 +193,30 @@ func (r *refSched) pending() int {
 }
 func (r *refSched) fork() sched { return &refSched{now: r.now, seqCtr: r.seqCtr} }
 
-// delayFor maps a class byte to a delay exercising a distinct wheel path.
+// linkDelay is the delay most simulator traffic schedules with (netem's
+// default LinkDelay), so it dominates the lane-hit classes below.
+const linkDelay = int64(time.Millisecond)
+
+// spillDelays are several distinct fixed delays: drawn concurrently, one
+// keeps the lane busy and the rest spill to the heap, and as the lane
+// drains it is re-keyed among these values.
+var spillDelays = []int64{linkDelay, 3 * linkDelay, 7 * linkDelay, 40 * linkDelay, int64(time.Second), int64(3 * time.Minute)}
+
+// delayFor maps a class byte to a delay exercising a distinct path.
 func delayFor(class byte, rng *rand.Rand) int64 {
-	tick := int64(1) << tickBits
 	switch class % 8 {
 	case 0:
-		return 0 // same instant
-	case 1:
-		return rng.Int63n(tick) // same or adjacent tick
-	case 2:
-		return tick + rng.Int63n(tick*slots) // level 0/1
+		return 0 // same instant (d = 0)
+	case 1, 2:
+		return linkDelay // long runs of one delay: lane hits
 	case 3:
-		return tick * slots * (1 + rng.Int63n(slots)) // level 1/2
+		return spillDelays[rng.Intn(len(spillDelays))] // lane churn and heap spill
 	case 4:
-		return tick * slots * slots * (1 + rng.Int63n(slots)) // level 2/3
+		return linkDelay + rng.Int63n(3) - 1 // one ns either side of a lane key
 	case 5:
-		return tick * horizonTicks / 2 // deep level 3
+		return rng.Int63n(4 * linkDelay) // mostly distinct delays: heap
 	case 6:
-		return tick*horizonTicks + rng.Int63n(tick*horizonTicks) // overflow
+		return int64(time.Hour) + rng.Int63n(int64(48*time.Hour)) // Figure 4 scale
 	default:
 		return -rng.Int63n(1 << 30) // negative: clamps to now
 	}
@@ -237,8 +244,8 @@ func runScript(s sched, data []byte) string {
 					for i := 0; i < n; i++ {
 						stops = append(stops, s.schedule(0, id+i, mkFn(depth+1)))
 					}
-				case 1: // short reschedule
-					s.schedule(int64(1)<<tickBits/4, id, mkFn(depth+1))
+				case 1: // next hop: a lane-keyed reschedule
+					s.schedule(linkDelay, id, mkFn(depth+1))
 				case 2: // cancel a random earlier timer from inside a callback
 					if len(stops) > 0 {
 						k := id % len(stops)
@@ -255,7 +262,7 @@ func runScript(s sched, data []byte) string {
 		case 0, 1: // schedule (weighted: most common op)
 			d := delayFor(p, rng)
 			stops = append(stops, s.schedule(d, int(p), mkFn(0)))
-		case 2: // scheduleAt, sometimes in the past
+		case 2: // scheduleAt, often in the past (clamped to d = 0)
 			at := s.nowNS() + delayFor(p, rng) - int64(p)<<16
 			s.scheduleAt(at, mkFn(0))
 			nextIDCheck(&log, s)
@@ -264,7 +271,7 @@ func runScript(s sched, data []byte) string {
 				k := int(p) % len(stops)
 				fmt.Fprintf(&log, "stop %d %v\n", k, stops[k]())
 			}
-		case 4: // partial drain to an arbitrary deadline (may split a tick)
+		case 4: // partial drain: parks with lane heads past the deadline
 			d := s.nowNS() + delayFor(p, rng)/2 + int64(p)
 			if err := s.runUntil(d); err != nil {
 				fmt.Fprintf(&log, "rununtil err %v\n", err)
@@ -303,21 +310,21 @@ func nextIDCheck(log *strings.Builder, s sched) {
 
 func diffScripts(t *testing.T, data []byte) {
 	t.Helper()
-	got := runScript(newWheelSched(), data)
+	got := runScript(newClockSched(), data)
 	want := runScript(&refSched{}, data)
 	if got != want {
 		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("divergence at log line %d:\n  wheel: %q\n  ref:   %q\n(script %x)", i, gl[i], wl[i], data)
+				t.Fatalf("divergence at log line %d:\n  clock: %q\n  ref:   %q\n(script %x)", i, gl[i], wl[i], data)
 			}
 		}
-		t.Fatalf("log length mismatch: wheel %d lines, ref %d lines (script %x)", len(gl), len(wl), data)
+		t.Fatalf("log length mismatch: clock %d lines, ref %d lines (script %x)", len(gl), len(wl), data)
 	}
 }
 
 // TestWheelMatchesReferenceRandom drives several hundred randomized
-// scripts through both schedulers. Run with -race in CI.
+// scripts through the clock and the reference. Run with -race in CI.
 func TestWheelMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11b3247e))
 	for script := 0; script < 300; script++ {
@@ -328,35 +335,33 @@ func TestWheelMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// TestWheelSameTickBurst pins the due-ring fast path: a callback-scheduled
-// same-instant burst must fire FIFO, interleaved correctly with events at
-// later instants inside the same tick.
+// TestWheelSameTickBurst pins same-instant bursts: a callback-scheduled
+// burst at d = 0 must fire FIFO, interleaved correctly with events one
+// link delay later.
 func TestWheelSameTickBurst(t *testing.T) {
 	diffScripts(t, []byte{
 		0, 0, 0, 0, 0, 0, // three same-instant roots
-		0, 1, 0, 1, // same-tick followers
+		0, 1, 0, 1, // link-delay followers
 		5, 2, // a couple of single steps
 		0, 0, 4, 1, // more roots, partial drain
 	})
 }
 
-// TestWheelDeadlineSplitsTick pins the demotion path: a RunUntil deadline
-// that parks the pipeline mid-tick, followed by schedules below the parked
-// instant.
+// TestWheelDeadlineSplitsTick pins RunUntil parking: a deadline that falls
+// between queued instants leaves the later lane and heap heads queued, and
+// schedules made after the park that land below them fire first.
 func TestWheelDeadlineSplitsTick(t *testing.T) {
 	c := New()
 	var order []string
-	tick := int64(1) << tickBits
-	base := Epoch.Add(time.Duration(10 * tick))
-	// Two instants inside tick 10.
+	base := Epoch.Add(10 * time.Millisecond)
 	c.ScheduleAt(base.Add(100), func() { order = append(order, "a") })
 	c.ScheduleAt(base.Add(900), func() { order = append(order, "d") })
 	c.ScheduleAt(base.Add(900), func() { order = append(order, "e") })
-	// Stop between them: the 900ns run is promoted but undrained.
 	if err := c.RunUntil(base.Add(500)); err != nil {
 		t.Fatal(err)
 	}
-	// Schedule below the parked run — must fire before it.
+	// Below the parked heads, through a lane (400ns from the parked now)
+	// and the heap.
 	c.ScheduleAt(base.Add(600), func() { order = append(order, "b") })
 	c.ScheduleAt(base.Add(700), func() { order = append(order, "c") })
 	if err := c.Run(); err != nil {
@@ -367,12 +372,87 @@ func TestWheelDeadlineSplitsTick(t *testing.T) {
 	}
 }
 
-// FuzzWheelVsHeap lets the fuzzer hunt for schedule/cancel/run interleavings
-// where the wheel and the reference disagree.
-func FuzzWheelVsHeap(f *testing.F) {
+// TestStopLaneAndHeapEntries cancels a lane head, a lane middle, a lane
+// tail and a heap entry, and checks the survivors fire in (at, seq) order
+// with the lane compacted behind them.
+func TestStopLaneAndHeapEntries(t *testing.T) {
+	c := New()
+	var order []int
+	mk := func(id int) func() { return func() { order = append(order, id) } }
+	var lane []Timer
+	for i := 0; i < 6; i++ {
+		lane = append(lane, c.Schedule(time.Millisecond, mk(i)))
+	}
+	// The lane is keyed to 1ms, so other delays go to the heap.
+	var heap []Timer
+	for i := 0; i < 3; i++ {
+		heap = append(heap, c.Schedule(time.Duration(2+i)*time.Millisecond, mk(10+i)))
+	}
+	if c.slab[heap[len(heap)-1].h].pos < 0 {
+		t.Fatal("a second delay joined the lane")
+	}
+	for _, tm := range []Timer{lane[0], lane[3], lane[5], heap[len(heap)-1]} {
+		if !tm.Stop() {
+			t.Fatal("Stop of a live timer returned false")
+		}
+	}
+	l := &c.lane
+	if n := len(l.q) - l.head; n != 4 || l.q[l.head].h != lane[1].h {
+		t.Fatalf("lane holds %d entries from handle %d, want the 4 from lane[1] to lane[4]", n, l.q[l.head].h)
+	}
+	if c.Pending() != 6+len(heap)-4 {
+		t.Fatalf("Pending = %d", c.Pending())
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 2, 4}
+	for i := 0; i < len(heap)-1; i++ {
+		want = append(want, 10+i)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("fire order %v, want %v", order, want)
+	}
+}
+
+// TestLaneBoundedUnderCancelChurn keeps a lane busy while cancelling into
+// it: per fired event, one survivor, one cancelled middle entry and one
+// cancelled tail entry. The lane never drains, so only trimming and reuse
+// of its drained front keep its storage bounded.
+func TestLaneBoundedUnderCancelChurn(t *testing.T) {
+	c := New()
+	fn := c.RegisterFn(func(uint32) {})
+	for i := 0; i < 64; i++ {
+		c.ScheduleIdx(time.Millisecond, fn, 0)
+	}
+	for i := 0; i < 100000; i++ {
+		middle := c.ScheduleIdx(time.Millisecond, fn, 0)
+		c.ScheduleIdx(time.Millisecond, fn, 0)
+		tail := c.ScheduleIdx(time.Millisecond, fn, 0)
+		middle.Stop()
+		tail.Stop()
+		if ok, err := c.Step(); err != nil || !ok {
+			t.Fatal("empty clock under churn")
+		}
+	}
+	if n := cap(c.lane.q); n > 1024 {
+		t.Fatalf("lane grew to capacity %d under cancel churn", n)
+	}
+	if len(c.slab) > 256 {
+		t.Fatalf("slab grew to %d records under cancel churn", len(c.slab))
+	}
+}
+
+// FuzzClockVsReference lets the fuzzer hunt for schedule/cancel/run
+// interleavings where the clock and the reference disagree.
+func FuzzClockVsReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 16, 0, 32, 4, 9, 0, 48, 3, 1, 5, 2})
 	f.Add([]byte{0, 6, 0, 6, 4, 200, 0, 5, 6, 7, 0, 0, 5, 3})
 	f.Add([]byte{2, 255, 0, 7, 3, 0, 0, 64, 4, 128, 0, 0, 0, 1, 5, 1, 6, 9})
+	// A long run of one delay with a stop in the middle, then a drain.
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 3, 2, 0, 1, 0, 1, 4, 9, 5, 3})
+	// Concurrent distinct delays, stops, re-keying drains.
+	f.Add([]byte{0, 3, 0, 11, 0, 19, 0, 27, 0, 5, 3, 1, 3, 3, 5, 3, 0, 4, 0, 12, 4, 17, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			t.Skip()

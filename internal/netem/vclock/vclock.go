@@ -10,44 +10,26 @@
 // runs of the same experiment produce byte-identical results.
 //
 // Internally time is an int64 nanosecond offset from Epoch and the queue is
-// a hierarchical timing wheel (a ladder/calendar queue) over pointer-free
-// event records: events live in a flat slab addressed by uint32 handles,
-// wheel buckets are intrusive uint32 lists, and callbacks are referenced by
-// registry index rather than stored function values — so scheduling and
-// firing an event in steady state writes no pointers (the GC write barrier
-// never runs on the hot path) and allocates nothing. The wheel changes only
-// the cost model, never the order: events fire in exact (at, seq) order,
-// identical to a min-heap (DESIGN.md §14 states the invariants).
+// a FIFO lane holding only events scheduled with one exact delay (netem's
+// link delay, in practice) beside a 4-ary min-heap for every other event. Events live in
+// a flat pointer-free slab addressed by uint32 handles, and callbacks are
+// referenced by registry index rather than stored function values — so
+// scheduling and firing an event in steady state writes no pointers (the
+// GC write barrier never runs on the hot path) and allocates nothing.
+// Events fire in exact (at, seq) order (DESIGN.md §14 states the
+// invariants).
 package vclock
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Wheel geometry. A tick is 2^tickBits ns ≈ 1.05 ms — the same scale as
-// netem's default LinkDelay, so one tick usually holds one delivery
-// instant. Four levels of 64 buckets cover a horizon of 64^4 ticks
-// (≈ 4.9 hours); events beyond the horizon wait in an overflow list (the
-// Figure 4 two-day sweep parks its hour marks there).
-const (
-	tickBits  = 20
-	levelBits = 6
-	slots     = 1 << levelBits // 64
-	levels    = 4
-
-	// noHandle terminates intrusive bucket lists and marks empty buckets.
-	noHandle = ^uint32(0)
-)
-
-// horizonTicks is the largest cursor-relative tick delta the wheel can
-// place; anything farther goes to the overflow list.
-const horizonTicks = int64(1) << (levelBits * levels)
+// noHandle tombstones a cancelled lane entry.
+const noHandle = ^uint32(0)
 
 // Event callback kinds. The registry a record's fn index points into is
 // selected by kind, so the slab itself stays pointer-free.
@@ -57,41 +39,83 @@ const (
 	kindIdx                  // fn indexes Clock.regFns; arg is passed through
 )
 
-// Event locations. Wheel buckets and the overflow list hold live events
-// only — Stop unlinks immediately — which is what lets the staging search
-// advance the cursor knowing every candidate it chases is real. Staged
-// events (near buffer or due ring) are cancelled by marking: the pop
-// pipeline skips dead entries, and a parked cursor is never advanced by
-// them.
-const (
-	locStaged   uint8 = iota // in the near buffer or due ring
-	locWheel                 // in bucket[lvl][idx]
-	locOverflow              // in the overflow list
-)
-
 // eventRec is one scheduled event in the flat slab. It contains no
-// pointers: scheduling writes at/seq/fn/arg integers and links the record
-// into a bucket by handle, so the GC write barrier never fires.
+// pointers, so scheduling writes integers only and the GC write barrier
+// never fires.
 type eventRec struct {
-	at   int64  // nanoseconds since Epoch
-	seq  uint64 // insertion order, breaks timestamp ties deterministically
-	next uint32 // intrusive bucket list link (noHandle = end)
+	seq  uint64 // insertion order; locates a lane entry on Stop
 	gen  uint32 // bumped on recycle so stale Timers cannot cancel the new tenant
 	fn   uint32 // registry slot, interpreted per kind
 	arg  uint32 // kindIdx argument
+	pos  int32  // heap index; -1 while the event waits in the lane
 	kind uint8
-	dead bool
-	loc  uint8 // locStaged / locWheel / locOverflow
-	lvl  uint8 // wheel level, valid when loc == locWheel
-	idx  uint8 // wheel bucket index, valid when loc == locWheel
 }
 
-// nearEnt is one staged event of the tick currently being drained, sorted
-// by (at, seq). Pointer-free like the slab.
-type nearEnt struct {
+// entry is one queued event: its firing key inline, so choosing the next
+// event compares entries without touching the slab. Pointer-free like the
+// slab.
+type entry struct {
 	at  int64
 	seq uint64
-	h   uint32
+	h   uint32 // slab handle; noHandle marks a cancelled lane entry
+}
+
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// lane is a FIFO of events all scheduled with delay d. Because now never
+// decreases and seq only grows, at = now+d arrives in (at, seq) order, so
+// appending keeps the lane sorted. A non-empty lane's head and tail are
+// live: Stop trims cancelled entries from both ends and tombstones the
+// rest in place.
+type lane struct {
+	d    int64
+	q    []entry
+	head int
+}
+
+func (l *lane) empty() bool { return l.head == len(l.q) }
+
+func (l *lane) push(e entry) {
+	if len(l.q) == cap(l.q) && l.head > len(l.q)/2 {
+		// Reuse the drained front instead of growing.
+		n := copy(l.q, l.q[l.head:])
+		l.q = l.q[:n]
+		l.head = 0
+	}
+	l.q = append(l.q, e)
+}
+
+// skipDead advances past cancelled entries at the head, and resets the
+// lane once it is empty so a later push starts at the front.
+func (l *lane) skipDead() {
+	for l.head < len(l.q) && l.q[l.head].h == noHandle {
+		l.head++
+	}
+	if l.head == len(l.q) {
+		l.q = l.q[:0]
+		l.head = 0
+	}
+}
+
+// remove cancels the entry with the given seq. Entries are sorted by seq,
+// so a binary search finds it.
+func (l *lane) remove(seq uint64) {
+	lo, hi := l.head, len(l.q)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.q[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	l.q[lo].h = noHandle
+	for n := len(l.q); n > l.head && l.q[n-1].h == noHandle; n-- {
+		l.q = l.q[:n-1]
+	}
+	l.skipDead()
 }
 
 // argPair backs ScheduleArg: a long-lived function value plus its argument,
@@ -99,20 +123,6 @@ type nearEnt struct {
 type argPair struct {
 	fn  func(any)
 	arg any
-}
-
-// wheel is the bucket hierarchy. occ bitmaps mirror bucket occupancy so
-// searches and cursor advances touch only occupied buckets — advancing the
-// cursor across an hour of empty time is a handful of bitmap operations.
-type wheel struct {
-	cursor int64 // current tick; never exceeds the tick of any unstaged event
-	count  int   // events resident in buckets (excludes overflow)
-	occ    [levels]uint64
-	bucket [levels][slots]uint32
-	// overflow holds handles beyond the horizon; ofMin caches their
-	// minimum tick so the next-event search can compare without scanning.
-	overflow []uint32
-	ofMin    int64
 }
 
 // FnID names a callback registered with RegisterFn.
@@ -136,22 +146,17 @@ func (t *Timer) Stop() bool {
 	}
 	c := t.c
 	r := &c.slab[t.h]
-	if r.gen != t.gen || r.dead {
+	if r.gen != t.gen {
 		return false
 	}
 	c.live--
 	c.freeSlot(r.kind, r.fn)
-	switch r.loc {
-	case locWheel:
-		c.unlink(t.h)
-		c.recycleHandle(t.h)
-	case locOverflow:
-		c.overflowRemove(t.h)
-		c.recycleHandle(t.h)
-	default:
-		// Staged: mark dead; the pop pipeline skips and recycles it.
-		r.dead = true
+	if r.pos < 0 {
+		c.lane.remove(r.seq)
+	} else {
+		c.heapRemove(int(r.pos))
 	}
+	c.recycleHandle(t.h)
 	return true
 }
 
@@ -170,26 +175,11 @@ type Clock struct {
 	slab  []eventRec
 	freeh []uint32 // recycled slab handles
 
-	// due is the FIFO of events at the instant currently firing (all at
-	// dueAt). Same-instant schedules made from inside a callback append
-	// here directly — the direct-dispatch fast path: no wheel, no sort,
-	// provably the same order the heap would have produced because seq is
-	// globally monotonic (DESIGN.md §14).
-	due     []uint32
-	dueHead int
-	dueAt   int64
-
-	// near holds the rest of the staged tick's events, sorted by
-	// (at, seq); curTick is that tick, -1 when nothing is staged.
-	near     []nearEnt
-	nearHead int
-	curTick  int64
-
-	// depth counts nested callback dispatches; >0 means a callback is on
-	// the stack, which is what arms the due-ring and Immediate fast paths.
-	depth int
-
-	wh wheel
+	// lane holds the events scheduled with delay lane.d. Nearly all of the
+	// simulator's schedules use netem's LinkDelay, so one lane carries
+	// them; two lanes measured no faster and four slower (EXPERIMENTS.md).
+	lane lane
+	heap []entry // 4-ary min-heap on (at, seq) of every other event
 
 	// Callback registries. regFns holds long-lived functions installed
 	// once per clock (RegisterFn); closures/pairs are per-event slots
@@ -212,20 +202,11 @@ type Clock struct {
 var Epoch = time.Date(2017, time.November, 1, 0, 0, 0, 0, time.UTC)
 
 // New returns a clock positioned at Epoch with an empty event queue.
-func New() *Clock {
-	c := &Clock{curTick: -1}
-	for l := 0; l < levels; l++ {
-		for i := range c.wh.bucket[l] {
-			c.wh.bucket[l][i] = noHandle
-		}
-	}
-	c.wh.ofMin = math.MaxInt64
-	return c
-}
+func New() *Clock { return &Clock{} }
 
 // SetRecorder installs the observability recorder the clock's scheduler
-// counters (vclock_fired / vclock_fastpath / vclock_cascades) feed. Nil or
-// obs.Nop disables them.
+// counters (vclock_fired / vclock_fastpath) feed. Nil or obs.Nop disables
+// them.
 func (c *Clock) SetRecorder(r obs.Recorder) {
 	if r == nil {
 		r = obs.Nop
@@ -332,36 +313,30 @@ func (c *Clock) freeSlot(kind uint8, slot uint32) {
 	}
 }
 
-// newHandle returns a fresh or recycled slab handle with dead cleared and
-// next unlinked. Generations persist across recycling (bumped at recycle)
-// so Timers from previous tenants cannot cancel the new one.
+// newHandle returns a fresh or recycled slab handle. Generations persist
+// across recycling (bumped at recycle) so Timers from previous tenants
+// cannot cancel the new one.
 func (c *Clock) newHandle() uint32 {
 	if n := len(c.freeh); n > 0 {
 		h := c.freeh[n-1]
 		c.freeh = c.freeh[:n-1]
-		r := &c.slab[h]
-		r.dead = false
-		r.next = noHandle
 		return h
 	}
-	c.slab = append(c.slab, eventRec{next: noHandle})
+	c.slab = append(c.slab, eventRec{})
 	return uint32(len(c.slab) - 1)
 }
 
-// recycleHandle retires a reaped (fired or cancelled-and-collected) record.
-// Registry slots are freed separately: Stop frees on cancel, dispatch frees
-// after extracting the callback.
+// recycleHandle retires a fired or cancelled record. Registry slots are
+// freed separately: Stop frees on cancel, dispatch frees after extracting
+// the callback.
 func (c *Clock) recycleHandle(h uint32) {
-	r := &c.slab[h]
-	r.gen++
-	r.dead = true
+	c.slab[h].gen++
 	c.freeh = append(c.freeh, h)
 }
 
-// scheduleNS creates the event record and routes it: same-instant events
-// scheduled from inside a callback join the due ring (the direct-dispatch
-// fast path); events landing in the staged tick merge into the sorted near
-// buffer; everything else goes to the wheel (or overflow past the horizon).
+// scheduleNS creates the event record and queues it: in the lane when the
+// lane is keyed to its delay or empty (and then re-keyed to it), else in
+// the heap.
 func (c *Clock) scheduleNS(at int64, kind uint8, fnSlot, arg uint32) Timer {
 	if at < c.now {
 		at = c.now
@@ -369,403 +344,104 @@ func (c *Clock) scheduleNS(at int64, kind uint8, fnSlot, arg uint32) Timer {
 	c.seq++
 	h := c.newHandle()
 	r := &c.slab[h]
-	r.at, r.seq, r.fn, r.arg, r.kind = at, c.seq, fnSlot, arg, kind
+	r.seq, r.fn, r.arg, r.kind = c.seq, fnSlot, arg, kind
 	gen := r.gen
 	c.live++
 
-	switch {
-	case c.dueHead < len(c.due) && at == c.dueAt:
-		// The instant at the head of the pop pipeline: appending preserves
-		// (at, seq) order because this event's seq is the largest yet.
-		r.loc = locStaged
-		c.due = append(c.due, h)
+	e := entry{at: at, seq: c.seq, h: h}
+	if d := at - c.now; d == c.lane.d || c.lane.empty() {
+		c.lane.d = d
+		r.pos = -1
+		c.lane.push(e)
 		if c.traced {
 			c.rec.Add(obs.CtrVClockFastPath, 1)
 		}
-	case c.depth > 0 && at == c.now:
-		// Same-instant schedule from inside a callback with the due ring
-		// drained: revive it at the current instant. Every event pending at
-		// now is (by construction) in the due ring, so FIFO order here is
-		// exactly heap order.
-		r.loc = locStaged
-		c.due = c.due[:0]
-		c.dueHead = 0
-		c.dueAt = c.now
-		c.due = append(c.due, h)
-		if c.traced {
-			c.rec.Add(obs.CtrVClockFastPath, 1)
-		}
-	case at>>tickBits == c.curTick:
-		// The staged tick: binary-insert into the sorted near buffer. The
-		// new event carries the largest seq, so it lands after any entry
-		// sharing its instant.
-		if c.dueHead < len(c.due) && at < c.dueAt {
-			// Only reachable when a RunUntil deadline parked the pipeline
-			// mid-tick with a promoted run still undrained: the new event
-			// precedes that run, so demote the run back into near where
-			// the sort covers both.
-			c.demoteDue()
-		}
-		lo, hi := c.nearHead, len(c.near)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if c.near[mid].at <= at {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		r.loc = locStaged
-		c.near = append(c.near, nearEnt{})
-		copy(c.near[lo+1:], c.near[lo:])
-		c.near[lo] = nearEnt{at: at, seq: c.seq, h: h}
-	default:
-		c.place(h, at>>tickBits)
+	} else {
+		c.heap = append(c.heap, e)
+		c.heapUp(len(c.heap) - 1)
 	}
 	return Timer{c: c, h: h, gen: gen}
 }
 
-// demoteDue returns the undrained due run to the front of the near buffer.
-// Due entries all share dueAt — an instant strictly below every remaining
-// near entry — and sit in seq order, so prepending them keeps near sorted.
-func (c *Clock) demoteDue() {
-	live := 0
-	for _, dh := range c.due[c.dueHead:] {
-		if !c.slab[dh].dead {
-			live++
-		}
-	}
-	tail := len(c.near) - c.nearHead
-	copy(c.near, c.near[c.nearHead:])
-	c.near = c.near[:tail]
-	c.nearHead = 0
-	for i := 0; i < live; i++ {
-		c.near = append(c.near, nearEnt{})
-	}
-	copy(c.near[live:], c.near[:tail])
-	w := 0
-	for _, dh := range c.due[c.dueHead:] {
-		if c.slab[dh].dead {
-			c.recycleHandle(dh)
-			continue
-		}
-		c.near[w] = nearEnt{at: c.dueAt, seq: c.slab[dh].seq, h: dh}
-		w++
-	}
-	c.due = c.due[:0]
-	c.dueHead = 0
+// heapSet stores e at heap index i and records the index in its slab
+// record so Stop can remove it eagerly.
+func (c *Clock) heapSet(i int, e entry) {
+	c.heap[i] = e
+	c.slab[e.h].pos = int32(i)
 }
 
-// place links handle h (whose event is at tick t ≥ cursor) into the wheel
-// level selected by its cursor-relative delta, or the overflow list beyond
-// the horizon.
-func (c *Clock) place(h uint32, t int64) {
-	w := &c.wh
-	delta := t - w.cursor
-	var l int
-	switch {
-	case delta < slots:
-		l = 0
-	case delta < 1<<(2*levelBits):
-		l = 1
-	case delta < 1<<(3*levelBits):
-		l = 2
-	case delta < horizonTicks:
-		l = 3
-	default:
-		c.slab[h].loc = locOverflow
-		w.overflow = append(w.overflow, h)
-		if t < w.ofMin {
-			w.ofMin = t
-		}
-		return
-	}
-	idx := (t >> (levelBits * l)) & (slots - 1)
-	r := &c.slab[h]
-	r.next = w.bucket[l][idx]
-	r.loc, r.lvl, r.idx = locWheel, uint8(l), uint8(idx)
-	w.bucket[l][idx] = h
-	w.occ[l] |= 1 << idx
-	w.count++
-}
-
-// unlink removes a live event from its wheel bucket (Timer.Stop). Bucket
-// chains are short — a handful of events sharing a span — so the list walk
-// is cheap, and eager removal is what keeps the staging search honest:
-// every occupied bucket it can chase holds at least one live event.
-func (c *Clock) unlink(h uint32) {
-	r := &c.slab[h]
-	w := &c.wh
-	l, idx := int(r.lvl), int(r.idx)
-	if w.bucket[l][idx] == h {
-		w.bucket[l][idx] = r.next
-	} else {
-		for cur := w.bucket[l][idx]; cur != noHandle; {
-			n := &c.slab[cur]
-			if n.next == h {
-				n.next = r.next
-				break
-			}
-			cur = n.next
-		}
-	}
-	if w.bucket[l][idx] == noHandle {
-		w.occ[l] &^= 1 << idx
-	}
-	w.count--
-}
-
-// overflowRemove removes a live event from the overflow list, restoring
-// the cached minimum when the removed event defined it.
-func (c *Clock) overflowRemove(h uint32) {
-	w := &c.wh
-	for i, oh := range w.overflow {
-		if oh == h {
-			w.overflow[i] = w.overflow[len(w.overflow)-1]
-			w.overflow = w.overflow[:len(w.overflow)-1]
+func (c *Clock) heapUp(i int) {
+	e := c.heap[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&c.heap[p]) {
 			break
 		}
+		c.heapSet(i, c.heap[p])
+		i = p
 	}
-	if c.slab[h].at>>tickBits == w.ofMin {
-		w.ofMin = math.MaxInt64
-		for _, oh := range w.overflow {
-			if t := c.slab[oh].at >> tickBits; t < w.ofMin {
-				w.ofMin = t
-			}
-		}
-	}
+	c.heapSet(i, e)
 }
 
-// earliest returns the lowest tick that might hold the next event: the
-// exact tick for level 0, the span start for higher levels (a lower bound
-// the caller refines by cascading), or the cached overflow minimum.
-// fromOverflow reports that the overflow list supplied the bound.
-func (w *wheel) earliest() (t int64, fromOverflow, ok bool) {
-	best := int64(math.MaxInt64)
-	if w.occ[0] != 0 {
-		q := bits.TrailingZeros64(bits.RotateLeft64(w.occ[0], -int(w.cursor&(slots-1))))
-		best = w.cursor + int64(q)
-	}
-	for l := 1; l < levels; l++ {
-		if w.occ[l] == 0 {
-			continue
+func (c *Clock) heapDown(i int) {
+	e := c.heap[i]
+	n := len(c.heap)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
 		}
-		cq := w.cursor >> (levelBits * l)
-		rot := bits.RotateLeft64(w.occ[l], -int(cq&(slots-1)))
-		q := int64(bits.TrailingZeros64(rot))
-		if q == 0 {
-			// The cursor's own bucket at this level was cascaded when the
-			// cursor entered its span; anything in it now is a full wrap
-			// away. A different bucket later in the current wrap is still
-			// nearer than that, so the wrap candidate only stands when the
-			// cursor's bucket is the sole occupied one.
-			q = slots
-			if rest := rot &^ 1; rest != 0 {
-				if q2 := int64(bits.TrailingZeros64(rest)); q2 < q {
-					q = q2
-				}
+		m := first
+		for k := first + 1; k < first+4 && k < n; k++ {
+			if c.heap[k].before(&c.heap[m]) {
+				m = k
 			}
 		}
-		if cand := (cq + q) << (levelBits * l); cand < best {
-			best = cand
+		if !c.heap[m].before(&e) {
+			break
 		}
+		c.heapSet(i, c.heap[m])
+		i = m
 	}
-	// On a tie the overflow must win: an overflow event can share a tick
-	// with a bucketed one, and staging the bucket without draining the
-	// overflow first would fire the tick's bucketed events ahead of an
-	// earlier-(at,seq) overflow resident.
-	if len(w.overflow) > 0 && w.ofMin <= best {
-		return w.ofMin, true, true
-	}
-	if best == math.MaxInt64 {
-		return 0, false, false
-	}
-	return best, false, true
+	c.heapSet(i, e)
 }
 
-// advanceTo moves the cursor to tick t, cascading every occupied
-// higher-level bucket whose span the cursor enters. The caller guarantees
-// no unstaged event lives at a tick below t, which is what makes the
-// redistribution exact: every relocated event lands at a delta below its
-// old level's span.
-func (c *Clock) advanceTo(t int64) {
-	w := &c.wh
-	old := w.cursor
-	if t <= old {
+// heapRemove deletes the entry at index i.
+func (c *Clock) heapRemove(i int) {
+	last := len(c.heap) - 1
+	moved := c.heap[last]
+	c.heap = c.heap[:last]
+	if i == last {
 		return
 	}
-	w.cursor = t
-	for l := 1; l < levels; l++ {
-		shift := levelBits * l
-		oldQ, newQ := old>>shift, t>>shift
-		if oldQ == newQ {
-			break // no boundary crossed here, so none above either
-		}
-		mask := ^uint64(0)
-		if newQ-oldQ < slots {
-			// Only the indices in (oldQ, newQ] entered their span.
-			lo, hi := (oldQ+1)&(slots-1), newQ&(slots-1)
-			if lo <= hi {
-				mask = (^uint64(0) << lo) & (^uint64(0) >> (slots - 1 - hi))
-			} else {
-				mask = (^uint64(0) << lo) | (^uint64(0) >> (slots - 1 - hi))
-			}
-		}
-		crossed := w.occ[l] & mask
-		for crossed != 0 {
-			idx := bits.TrailingZeros64(crossed)
-			crossed &^= 1 << idx
-			h := w.bucket[l][idx]
-			w.bucket[l][idx] = noHandle
-			w.occ[l] &^= 1 << idx
-			moved := int64(0)
-			for h != noHandle {
-				r := &c.slab[h]
-				nexth := r.next
-				w.count--
-				c.place(h, r.at>>tickBits)
-				moved++
-				h = nexth
-			}
-			if c.traced {
-				c.rec.Add(obs.CtrVClockCascades, moved)
-			}
-		}
-	}
+	c.heap[i] = moved
+	c.heapDown(i)
+	c.heapUp(int(c.slab[moved.h].pos))
 }
 
-// drainOverflow migrates every overflow event now inside the horizon into
-// the wheel and recomputes the cached minimum of the remainder.
-func (c *Clock) drainOverflow() {
-	w := &c.wh
-	keep := w.overflow[:0]
-	newMin := int64(math.MaxInt64)
-	for _, h := range w.overflow {
-		t := c.slab[h].at >> tickBits
-		if t-w.cursor < horizonTicks {
-			c.place(h, t)
-			continue
-		}
-		keep = append(keep, h)
-		if t < newMin {
-			newMin = t
-		}
-	}
-	w.overflow = keep
-	w.ofMin = newMin
-}
-
-// stage advances the cursor to the next occupied tick at or below
-// limitTick, pulls that tick's live events into the sorted near buffer,
-// and records it as curTick. It reports false when no event lives at or
-// below the limit (the cursor then stays put, so later schedules into the
-// gap remain placeable).
-func (c *Clock) stage(limitTick int64) bool {
-	w := &c.wh
-	for {
-		t, fromOverflow, ok := w.earliest()
-		if !ok || t > limitTick {
-			return false
-		}
-		c.advanceTo(t)
-		if fromOverflow {
-			c.drainOverflow()
-			continue
-		}
-		idx := t & (slots - 1)
-		if w.occ[0]&(1<<idx) == 0 {
-			continue // span-start bound only; re-search after the cascade
-		}
-		h := w.bucket[0][idx]
-		w.bucket[0][idx] = noHandle
-		w.occ[0] &^= 1 << idx
-		c.near = c.near[:0]
-		c.nearHead = 0
-		for h != noHandle {
-			r := &c.slab[h]
-			nexth := r.next
-			w.count--
-			r.loc = locStaged
-			c.near = append(c.near, nearEnt{at: r.at, seq: r.seq, h: h})
-			h = nexth
-		}
-		slices.SortFunc(c.near, func(a, b nearEnt) int {
-			if a.at != b.at {
-				if a.at < b.at {
-					return -1
-				}
-				return 1
-			}
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		})
-		c.curTick = t
-		return true
-	}
-}
-
-// next pops the earliest live event with at ≤ limit, walking the pop
-// pipeline: due ring → near buffer → wheel. It reports false when nothing
-// fires at or before the limit; staged-but-beyond-limit events stay staged.
+// next pops the earliest live event with at ≤ limit: the smaller (at, seq)
+// of the lane head and the heap top. It reports false when nothing fires
+// at or before the limit, leaving the queue untouched.
 func (c *Clock) next(limit int64) (h uint32, at int64, ok bool) {
-	for {
-		for c.dueHead < len(c.due) {
-			h = c.due[c.dueHead]
-			if c.slab[h].dead {
-				c.recycleHandle(h)
-				c.dueHead++
-				continue
-			}
-			if c.dueAt > limit {
-				return 0, 0, false
-			}
-			c.dueHead++
-			return h, c.dueAt, true
-		}
-		if len(c.due) > 0 {
-			c.due = c.due[:0]
-			c.dueHead = 0
-		}
-		for c.nearHead < len(c.near) {
-			en := c.near[c.nearHead]
-			if c.slab[en.h].dead {
-				c.recycleHandle(en.h)
-				c.nearHead++
-				continue
-			}
-			if en.at > limit {
-				return 0, 0, false
-			}
-			// Promote the run of events sharing this instant to the due
-			// ring, where same-instant schedules can join it FIFO.
-			c.dueAt = en.at
-			j := c.nearHead
-			for j < len(c.near) && c.near[j].at == en.at {
-				if c.slab[c.near[j].h].dead {
-					c.recycleHandle(c.near[j].h)
-				} else {
-					c.due = append(c.due, c.near[j].h)
-				}
-				j++
-			}
-			c.nearHead = j
-			break
-		}
-		if c.dueHead < len(c.due) {
-			continue
-		}
-		c.near = c.near[:0]
-		c.nearHead = 0
-		c.curTick = -1
-		if c.wh.count == 0 && len(c.wh.overflow) == 0 {
-			return 0, 0, false
-		}
-		if !c.stage(limit >> tickBits) {
-			return 0, 0, false
-		}
+	var best *entry
+	if !c.lane.empty() {
+		best = &c.lane.q[c.lane.head]
 	}
+	fromHeap := len(c.heap) > 0 && (best == nil || c.heap[0].before(best))
+	if fromHeap {
+		best = &c.heap[0]
+	}
+	if best == nil || best.at > limit {
+		return 0, 0, false
+	}
+	h, at = best.h, best.at
+	if fromHeap {
+		c.heapRemove(0)
+	} else {
+		c.lane.head++
+		c.lane.skipDead()
+	}
+	return h, at, true
 }
 
 // Fork returns a new clock positioned at the same virtual instant, with
@@ -784,7 +460,6 @@ func (c *Clock) next(limit int64) (h uint32, at int64, ok bool) {
 func (c *Clock) Fork() *Clock {
 	nc := New()
 	nc.now, nc.seq, nc.Budget, nc.fired = c.now, c.seq, c.Budget, c.fired
-	nc.wh.cursor = c.now >> tickBits
 	return nc
 }
 
@@ -793,31 +468,12 @@ func (c *Clock) Fork() *Clock {
 // polling leans on it.
 func (c *Clock) Pending() int { return c.live }
 
-// Immediate reports whether an event scheduled at the current instant
-// would be the very next thing to fire: a callback is on the stack and no
-// other event is pending at now. Under this predicate a call site may run
-// same-instant work inline instead of scheduling it — the resulting order
-// is identical because the scheduled event would have fired immediately
-// after the current callback returned, with nothing in between (the
-// fast-path fence rules in DESIGN.md §14).
-//
-// Every event pending at the current instant lives in the due ring while a
-// callback is dispatching — later events of a staged tick sit in near at
-// strictly later instants, and unstaged wheel events are at later ticks —
-// so the check is two integer comparisons.
-func (c *Clock) Immediate() bool {
-	return c.depth > 0 && c.dueHead >= len(c.due)
-}
-
 // step fires the earliest event with at ≤ limit. It reports false when no
 // such event exists.
 func (c *Clock) step(limit int64) (bool, error) {
 	h, at, ok := c.next(limit)
 	if !ok {
 		return false, nil
-	}
-	if at < c.now {
-		return false, fmt.Errorf("vclock: event scheduled at %v before now %v", Epoch.Add(time.Duration(at)), c.Now())
 	}
 	c.now = at
 	c.fired++
@@ -831,7 +487,6 @@ func (c *Clock) step(limit int64) (bool, error) {
 	kind, fnSlot, arg := r.kind, r.fn, r.arg
 	c.live--
 	c.recycleHandle(h)
-	c.depth++
 	switch kind {
 	case kindIdx:
 		c.regFns[fnSlot](arg)
@@ -846,7 +501,6 @@ func (c *Clock) step(limit int64) (bool, error) {
 		c.closFree = append(c.closFree, fnSlot)
 		fn()
 	}
-	c.depth--
 	return true, nil
 }
 

@@ -216,12 +216,13 @@ const (
 	CtrStoreWrites
 	CtrShardsDispatched
 	CtrWorkerDeaths
-	// Scheduler counters (the vclock timing wheel): events fired, events
-	// dispatched through the same-instant due-ring fast path (including
-	// stack emissions that ran inline under Clock.Immediate), and events
-	// relocated by a wheel cascade. All three are pure functions of the
-	// schedule sequence, so they are deterministic and worker-count
-	// invariant like every other simulation counter.
+	// Scheduler counters (the vclock lanes and heap): events fired, and
+	// events placed in a FIFO lane rather than the heap (the fast path).
+	// Both are pure functions of the schedule sequence, so they are
+	// deterministic and worker-count invariant like every other
+	// simulation counter. CtrVClockCascades counted events relocated by
+	// the timing wheel the lanes replaced; it stays declared for trace
+	// and benchmark readers and always reads 0.
 	CtrVClockFired
 	CtrVClockFastPath
 	CtrVClockCascades
